@@ -47,6 +47,12 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.dtl import TrafficKind
+from repro.core.lowering import (
+    DIM_INDEX,
+    clamped_extents,
+    prefix_dim_products,
+    tile_elements_array,
+)
 from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
 from repro.core.step2 import ServedMemoryStall
@@ -54,8 +60,8 @@ from repro.core.step3 import StallIntegration, integrate_stall_entries
 from repro.core.windows import union_length_params
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.port import EndpointKind
-from repro.workload.dims import ALL_DIMS, LoopDim
-from repro.workload.layer import LayerSpec, LayerType
+from repro.workload.dims import ALL_DIMS
+from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
 
 
@@ -253,9 +259,6 @@ class BatchResult:
 # --------------------------------------------------------------------- #
 # The evaluator
 # --------------------------------------------------------------------- #
-
-_DIM_INDEX = {dim: i for i, dim in enumerate(ALL_DIMS)}
-
 
 class BatchEvaluator:
     """Evaluate many mappings of one layer on one accelerator at once.
@@ -801,7 +804,7 @@ class _Lowered:
         for i, m in enumerate(mappings):
             loops = m.temporal.loops
             for j, loop in enumerate(loops):
-                dims[i, j] = _DIM_INDEX[loop.dim]
+                dims[i, j] = DIM_INDEX[loop.dim]
                 sizes[i, j] = loop.size
         self.pad = np.zeros((n, L), dtype=bool)
         for i, m in enumerate(mappings):
@@ -810,11 +813,7 @@ class _Lowered:
         # Prefix products of all loops and of each dimension separately.
         self.prefix_all = np.ones((n, L + 1), dtype=np.int64)
         np.cumprod(sizes, axis=1, out=self.prefix_all[:, 1:])
-        self.prefix_dim = []
-        for di in range(len(ALL_DIMS)):
-            p = np.ones((n, L + 1), dtype=np.int64)
-            np.cumprod(np.where(dims == di, sizes, 1), axis=1, out=p[:, 1:])
-            self.prefix_dim.append(p)
+        self.prefix_dim = prefix_dim_products(dims, sizes)
         self.total_cc = self.prefix_all[:, L]
         self.horizon = self.total_cc.astype(np.float64)
 
@@ -872,9 +871,6 @@ class _Lowered:
             [[m.spatial.factor(dim) for dim in ALL_DIMS] for m in mappings],
             dtype=np.int64,
         )
-        self.size_vec = np.array(
-            [layer.size(dim) for dim in ALL_DIMS], dtype=np.int64
-        )
         self._elements_cache: Dict[Tuple[Operand, int], np.ndarray] = {}
 
     # -- helpers -------------------------------------------------------- #
@@ -891,46 +887,11 @@ class _Lowered:
 
     def _extents_at(self, hi: np.ndarray) -> np.ndarray:
         """(n, 7) clamped temporal-x-spatial extents of every dim at ``hi``."""
-        ext = np.empty((self.n, len(ALL_DIMS)), dtype=np.int64)
-        for di in range(len(ALL_DIMS)):
-            ext[:, di] = self.gather(self.prefix_dim[di], hi) * self.spatial[:, di]
-        return np.minimum(ext, self.size_vec)
-
-    def _elements_from_extents(self, operand: Operand, ext: np.ndarray) -> np.ndarray:
-        """Vector form of :func:`repro.mapping.footprint.tile_elements`."""
-        layer = self.layer
-        depthwise = layer.layer_type is LayerType.DEPTHWISE
-        d = _DIM_INDEX
-        if operand is Operand.W:
-            channels = 1 if depthwise else ext[:, d[LoopDim.C]]
-            return (
-                ext[:, d[LoopDim.K]]
-                * channels
-                * ext[:, d[LoopDim.FX]]
-                * ext[:, d[LoopDim.FY]]
-            )
-        if operand is Operand.O:
-            return (
-                ext[:, d[LoopDim.B]]
-                * ext[:, d[LoopDim.K]]
-                * ext[:, d[LoopDim.OX]]
-                * ext[:, d[LoopDim.OY]]
-            )
-        ix = (
-            (ext[:, d[LoopDim.OX]] - 1) * layer.stride_x
-            + (ext[:, d[LoopDim.FX]] - 1) * layer.dilation_x
-            + 1
-        )
-        iy = (
-            (ext[:, d[LoopDim.OY]] - 1) * layer.stride_y
-            + (ext[:, d[LoopDim.FY]] - 1) * layer.dilation_y
-            + 1
-        )
-        channels = ext[:, d[LoopDim.K]] if depthwise else ext[:, d[LoopDim.C]]
-        return ext[:, d[LoopDim.B]] * channels * ix * iy
+        products = self.prefix_dim[np.arange(self.n), hi]
+        return clamped_extents(self.layer, products, self.spatial)
 
     def footprint_elements(self, operand: Operand, hi: np.ndarray) -> np.ndarray:
-        return self._elements_from_extents(operand, self._extents_at(hi))
+        return tile_elements_array(self.layer, operand, self._extents_at(hi))
 
     def footprint_bits(self, operand: Operand, level: int) -> np.ndarray:
         """``Mem_DATA`` bits at ``level``; O uses psum precision when partial.
@@ -952,5 +913,5 @@ class _Lowered:
 
     def compute_edge_elements(self, operand: Operand) -> np.ndarray:
         """Per-cycle tile elements: spatial unrolling only (no loops)."""
-        ext = np.minimum(self.spatial, self.size_vec)
-        return self._elements_from_extents(operand, ext)
+        ext = clamped_extents(self.layer, 1, self.spatial)
+        return tile_elements_array(self.layer, operand, ext)

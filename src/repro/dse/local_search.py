@@ -82,13 +82,8 @@ class LocalSearchMapper:
         funnel = campaign.phase("local_search") if campaign.enabled else None
         if funnel is not None:
             funnel.admit()
-        temporal = self.mapper.allocate(layer, order)
-        if temporal is None:
-            if funnel is not None:
-                funnel.discard("allocation-overflow")
-            return None
         try:
-            mapping = Mapping(layer, self.mapper.spatial, temporal)
+            mapping = Mapping(layer, self.mapper.spatial, self.mapper.allocate(layer, order))
             return self.mapper.evaluate(mapping)
         except MappingError:
             if funnel is not None:
@@ -102,15 +97,9 @@ class LocalSearchMapper:
         campaign = current_campaign()
         funnel = campaign.phase("local_search") if campaign.enabled else None
         mappings: List[Optional[Mapping]] = []
-        for order in orders:
+        for temporal in self.mapper.allocate_many(layer, orders):
             if funnel is not None:
                 funnel.admit()
-            temporal = self.mapper.allocate(layer, order)
-            if temporal is None:
-                if funnel is not None:
-                    funnel.discard("allocation-overflow")
-                mappings.append(None)
-                continue
             try:
                 mappings.append(Mapping(layer, self.mapper.spatial, temporal))
             except MappingError:

@@ -10,7 +10,8 @@ For a layer and a fixed spatial unrolling the mapper:
 3. allocates each order onto every operand's memory chain bottom-up and
    greedily (push each loop to the lowest level whose mapper-visible
    capacity still holds the grown tile — maximizing low-level reuse, which
-   is how ZigZag's allocator behaves);
+   is how ZigZag's allocator behaves), for a chunk of orders at once in
+   closed form (:meth:`TemporalMapper.allocate_many`);
 4. evaluates the requested objective (latency via the uniform model,
    energy, or EDP) and returns the ranked results.
 
@@ -25,8 +26,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from typing import Dict, Iterator, List, Mapping as TMapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping as TMapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.core.lowering import (
+    DIM_INDEX,
+    clamped_extents,
+    prefix_dim_products,
+    tile_elements_array,
+)
 from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
 from repro.dse.factorize import (
@@ -38,7 +47,10 @@ from repro.dse.factorize import (
 from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
-from repro.mapping.footprint import spatial_replication, tile_elements
+# ``tile_elements`` (the scalar footprint reference) is no longer called
+# here but stays importable by this name: perfbench/spans.py counts calls
+# through every namespace that ever imported it.
+from repro.mapping.footprint import spatial_replication, tile_elements  # noqa: F401
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping, MappingError
 from repro.mapping.spatial import SpatialMapping
@@ -213,49 +225,75 @@ class TemporalMapper:
 
     def allocate(
         self, layer: LayerSpec, order: Tuple[Tuple[LoopDim, int], ...]
-    ) -> Optional[TemporalMapping]:
+    ) -> TemporalMapping:
         """Greedy bottom-up level allocation of one loop order.
 
-        Returns ``None`` when the order cannot fit (the full tile of some
-        operand exceeds its outermost level).
+        The one-order case of :meth:`allocate_many`. It always returns a
+        mapping: the outermost level of every operand is its data home
+        (backed by off-chip memory) and accepts any footprint, so every
+        loop finds a level.
         """
-        loops = tuple(Loop(dim, size) for dim, size in order)
-        cuts: Dict[Operand, Tuple[int, ...]] = {}
+        return self.allocate_many(layer, [order])[0]
+
+    def allocate_many(
+        self, layer: LayerSpec, orders: Sequence[Tuple[Tuple[LoopDim, int], ...]]
+    ) -> List[TemporalMapping]:
+        """Greedy allocation of equal-length loop orders, all cuts at once.
+
+        The greedy rule walks each order inner to outer and pushes every
+        loop into the lowest level whose mapper-visible capacity still
+        holds the grown tile. Footprints never shrink as a prefix grows
+        (every extent is a clamped prefix product), so a level that
+        overflows at prefix length ``j`` overflows at every longer prefix,
+        and the walk has a closed form: with ``first_l`` the shortest
+        overflowing prefix at level ``l`` (``L + 1`` when none does),
+
+            ``cut_l = max(cut_{l-1}, first_l - 1)``,  ``cut_{-1} = 0``,
+
+        where ``first_l - 1 = L - (number of overflowing prefixes)``.
+
+        The footprints of every prefix of every order come from one
+        lowering (:mod:`repro.core.lowering`), the same formula the batch
+        evaluator gathers at the cuts.
+        """
+        atoms: Dict[Tuple[LoopDim, int], int] = {}
+        rows = [[atoms.setdefault(atom, len(atoms)) for atom in order] for order in orders]
+        if not rows:
+            return []
+        index = np.array(rows, dtype=np.int64)
+        atom_dims = np.array([DIM_INDEX[dim] for dim, __ in atoms], dtype=np.int64)
+        atom_sizes = np.array([size for __, size in atoms], dtype=np.int64)
+        spatial = np.array([self.spatial.factor(dim) for dim in ALL_DIMS], dtype=np.int64)
+        ext = clamped_extents(
+            layer, prefix_dim_products(atom_dims[index], atom_sizes[index]), spatial
+        )
+        length = index.shape[1]
+        cuts: Dict[Operand, List[List[int]]] = {}
         for operand in Operand:
-            cut = self._allocate_operand(layer, operand, loops)
-            if cut is None:
-                return None
-            cuts[operand] = cut
-        return TemporalMapping(loops, cuts)
-
-    def _allocate_operand(
-        self, layer: LayerSpec, operand: Operand, loops: Tuple[Loop, ...]
-    ) -> Optional[Tuple[int, ...]]:
-        chain = self.accelerator.hierarchy.levels(operand)
-        depth = len(chain)
-        cut: List[int] = []
-        level = 0
-        for index in range(1, len(loops) + 1):
-            prefix = loops[:index]
-            # The outermost level is the operand's data home (backed by
-            # off-chip memory) and accepts any footprint.
-            while level < depth - 1 and not self._fits(layer, operand, prefix, chain[level]):
-                cut.append(index - 1)
-                level += 1
-        while len(cut) < depth - 1:
-            cut.append(len(loops))
-        return tuple(cut)
-
-    def _fits(
-        self, layer: LayerSpec, operand: Operand, prefix: Tuple[Loop, ...], level
-    ) -> bool:
-        elements = tile_elements(layer, operand, prefix, self.spatial)
-        # Conservative: in-flight outputs are counted at accumulator width.
-        partial = operand is Operand.O
-        bits = elements * layer.precision.of(operand, partial=partial)
-        if level.instance.instances > 1:
-            bits *= spatial_replication(layer, operand, self.spatial)
-        return bits <= level.capacity_for(operand)
+            # Conservative: in-flight outputs are counted at accumulator width.
+            precision = layer.precision.of(operand, partial=operand is Operand.O)
+            bits = tile_elements_array(layer, operand, ext[:, 1:]) * precision
+            cut = np.zeros(len(rows), dtype=np.int64)
+            columns = []
+            for level in self.accelerator.hierarchy.levels(operand)[:-1]:
+                demand = bits
+                if level.instance.instances > 1:
+                    demand = bits * spatial_replication(layer, operand, self.spatial)
+                # Monotone rows: the overflowing prefixes are the last ones.
+                over = demand > level.capacity_for(operand)
+                cut = np.maximum(cut, length - over.sum(axis=1))
+                columns.append(cut)
+            cuts[operand] = (
+                np.stack(columns, axis=1).tolist() if columns else [[]] * len(rows)
+            )
+        loops = [Loop(dim, size) for dim, size in atoms]
+        return [
+            TemporalMapping(
+                tuple(loops[a] for a in row),
+                {operand: cuts[operand][i] for operand in Operand},
+            )
+            for i, row in enumerate(rows)
+        ]
 
     # ------------------------------------------------------------------ #
     # Search
@@ -277,35 +315,37 @@ class TemporalMapper:
         funnel = campaign.phase("mapper") if campaign.enabled else None
         seen = set()
         canonical_seen = set()
-        for order in self.orders(layer):
-            if funnel is not None:
-                funnel.admit()
-            temporal = self.allocate(layer, order)
-            if temporal is None:
+        orders = self.orders(layer)
+        while True:
+            # Orders are allocated a chunk at a time; everything after
+            # allocation (funnel, dedup, yield order) stays per order.
+            chunk = list(itertools.islice(orders, self.config.batch_size))
+            if not chunk:
+                return
+            for temporal in self.allocate_many(layer, chunk):
                 if funnel is not None:
-                    funnel.discard("allocation-overflow")
-                continue
-            key = (temporal.loops, tuple(sorted(
-                (op.value, temporal.cuts[op]) for op in Operand
-            )))
-            if key in seen:
-                if funnel is not None:
-                    funnel.discard("duplicate")
-                continue
-            seen.add(key)
-            canonical = self._canonical_key(temporal)
-            if canonical in canonical_seen:
-                self.engine.stats.dedup_skipped += 1
-                if funnel is not None:
-                    funnel.discard("canonical-equivalent")
-                continue
-            canonical_seen.add(canonical)
-            try:
-                yield Mapping(layer, self.spatial, temporal)
-            except MappingError:
-                if funnel is not None:
-                    funnel.discard("mapping-error")
-                continue
+                    funnel.admit()
+                key = (temporal.loops, tuple(sorted(
+                    (op.value, temporal.cuts[op]) for op in Operand
+                )))
+                if key in seen:
+                    if funnel is not None:
+                        funnel.discard("duplicate")
+                    continue
+                seen.add(key)
+                canonical = self._canonical_key(temporal)
+                if canonical in canonical_seen:
+                    self.engine.stats.dedup_skipped += 1
+                    if funnel is not None:
+                        funnel.discard("canonical-equivalent")
+                    continue
+                canonical_seen.add(canonical)
+                try:
+                    yield Mapping(layer, self.spatial, temporal)
+                except MappingError:
+                    if funnel is not None:
+                        funnel.discard("mapping-error")
+                    continue
 
     @staticmethod
     def _canonical_key(temporal: TemporalMapping):

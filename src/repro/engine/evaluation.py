@@ -246,12 +246,12 @@ class EvaluationEngine:
     # Cache keys
     # ------------------------------------------------------------------ #
 
-    def _latency_key(self, mapping: Mapping):
-        return ("latency", self._accel_fp, self._options_fp, mapping.fingerprint())
+    def _latency_key(self, mapping_fp: str):
+        return ("latency", self._accel_fp, self._options_fp, mapping_fp)
 
-    def _energy_key(self, mapping: Mapping):
+    def _energy_key(self, mapping_fp: str):
         # The energy model takes no ModelOptions; its key omits them.
-        return ("energy", self._accel_fp, mapping.fingerprint())
+        return ("energy", self._accel_fp, mapping_fp)
 
     # ------------------------------------------------------------------ #
     # Single evaluations
@@ -277,7 +277,7 @@ class EvaluationEngine:
                 self._observe_single(metrics, span, t0, cache_hit=None)
                 self._ledger_single(ledger, mapping, report, t0, cache_hit=None)
                 return report
-            key = self._latency_key(mapping)
+            key = self._latency_key(mapping.fingerprint())
             report = self.cache.get(key)
             if report is not None:
                 if not report.dtls:
@@ -358,7 +358,7 @@ class EvaluationEngine:
             if not self.use_cache:
                 self.stats.energy_evaluations += 1
                 return self._energy_model.evaluate(mapping)
-            key = self._energy_key(mapping)
+            key = self._energy_key(mapping.fingerprint())
             energy = self.cache.get(key)
             if energy is not None:
                 self.stats.cache_hits += 1
@@ -423,11 +423,13 @@ class EvaluationEngine:
         with self.stats.phase("batch"), tracer.span("engine.batch") as span:
             self.stats.batches += 1
             pending: List[int] = []
+            # One fingerprint per mapping serves both the probe and the put.
+            fps = [m.fingerprint() for m in mappings] if self.use_cache else []
             if self.use_cache:
                 for i, mapping in enumerate(mappings):
-                    report = self.cache.get(self._latency_key(mapping))
+                    report = self.cache.get(self._latency_key(fps[i]))
                     energy = (
-                        self.cache.get(self._energy_key(mapping))
+                        self.cache.get(self._energy_key(fps[i]))
                         if with_energy
                         else None
                     )
@@ -506,9 +508,9 @@ class EvaluationEngine:
                         if with_energy:
                             self.stats.energy_evaluations += 1
                         if self.use_cache:
-                            self.cache.put(self._latency_key(mappings[i]), report)
+                            self.cache.put(self._latency_key(fps[i]), report)
                             if with_energy and energy is not None:
-                                self.cache.put(self._energy_key(mappings[i]), energy)
+                                self.cache.put(self._energy_key(fps[i]), energy)
                         results[i] = Evaluation(mappings[i], report, energy)
                         if ledger.enabled:
                             ledger_rows.append(self._ledger_record(

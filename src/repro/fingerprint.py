@@ -29,7 +29,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Sequence
+from typing import Any
 
 
 def canonical_payload(obj: Any) -> Any:
@@ -86,8 +86,34 @@ def memoized_fingerprint(obj: Any) -> str:
     return cached
 
 
+def memoized_json(obj: Any) -> str:
+    """``canonical_json(canonical_payload(obj))``, cached on the object.
+
+    Same safety rule as :func:`memoized_fingerprint`: immutable objects
+    only. Direct encoders splice these fragments into a larger canonical
+    JSON text instead of re-walking objects that recur (e.g. the loops a
+    mapper shares across every candidate order).
+    """
+    cached = getattr(obj, "_canonical_json", None)
+    if cached is None:
+        cached = canonical_json(canonical_payload(obj))
+        try:
+            object.__setattr__(obj, "_canonical_json", cached)
+        except (AttributeError, TypeError):
+            pass
+    return cached
+
+
+def canonical_json(payload: Any) -> str:
+    """The JSON text fingerprints hash: sorted keys, no whitespace."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def digest(encoded: str) -> str:
+    """SHA-256 hex digest of a canonical JSON text."""
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
 def stable_fingerprint(*objs: Any) -> str:
     """SHA-256 hex digest of the canonical encoding of ``objs``."""
-    payload: Sequence[Any] = [canonical_payload(o) for o in objs]
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return digest(canonical_json([canonical_payload(o) for o in objs]))

@@ -102,17 +102,20 @@ class Mapping:
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
-            from repro.fingerprint import memoized_fingerprint, stable_fingerprint
+            from repro.fingerprint import digest, memoized_fingerprint
 
             # Composed hierarchically: the layer and spatial unrolling
             # recur (as the same objects) across every mapping of one
             # search, so their fingerprints are computed once and only
-            # the temporal part is canonicalized per mapping.
-            cached = stable_fingerprint(
+            # the temporal part is encoded per mapping. The text is the
+            # canonical JSON of [layer_fp, spatial_fp, temporal] (hex
+            # digests need no escaping), so the value equals
+            # stable_fingerprint(layer_fp, spatial_fp, self.temporal).
+            cached = digest('["%s","%s",%s]' % (
                 memoized_fingerprint(self.layer),
                 memoized_fingerprint(self.spatial),
-                self.temporal,
-            )
+                self.temporal.canonical_json(),
+            ))
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 

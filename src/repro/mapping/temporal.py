@@ -12,9 +12,17 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from repro.fingerprint import canonical_json, canonical_payload, memoized_json
 from repro.mapping.loop import Loop, loops_product
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
+
+
+#: The canonical JSON of every operand, in the order the generic canonical
+#: walk sorts the keys of the ``cuts`` dict.
+_CUT_KEYS = sorted(
+    (canonical_json(canonical_payload(op)), op) for op in Operand
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,6 +96,21 @@ class TemporalMapping:
                 )
         assert reference is not None
         return TemporalMapping(tuple(reference), cuts)
+
+    def canonical_json(self) -> str:
+        """``canonical_json(canonical_payload(self))``, encoded directly.
+
+        The generic walk recurses through every :class:`Loop` dataclass and
+        enum of the mapping; this splices memoized per-loop fragments and
+        the cut lists (in the walk's sorted operand order) into the
+        identical text, so mapping fingerprints keep their values.
+        """
+        loops = ",".join([memoized_json(loop) for loop in self.loops])
+        cuts = ",".join([
+            "[%s,[%s]]" % (key, ",".join(map(str, self.cuts[op])))
+            for key, op in _CUT_KEYS
+        ])
+        return '["TemporalMapping",[["loops",[%s]],["cuts",[%s]]]]' % (loops, cuts)
 
     # ------------------------------------------------------------------ #
     # Queries
