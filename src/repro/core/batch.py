@@ -797,18 +797,15 @@ class _Lowered:
         self.layer = layer
         self.mappings = mappings
         n = self.n = len(mappings)
-        L = self.L = max(len(m.temporal.loops) for m in mappings)
+        lengths = [len(m.temporal.loops) for m in mappings]
+        L = self.L = max(lengths)
 
         dims = np.zeros((n, L), dtype=np.int64)
         sizes = np.ones((n, L), dtype=np.int64)
         for i, m in enumerate(mappings):
-            loops = m.temporal.loops
-            for j, loop in enumerate(loops):
-                dims[i, j] = DIM_INDEX[loop.dim]
-                sizes[i, j] = loop.size
-        self.pad = np.zeros((n, L), dtype=bool)
-        for i, m in enumerate(mappings):
-            self.pad[i, len(m.temporal.loops):] = True
+            dims[i, : lengths[i]] = [DIM_INDEX[loop.dim] for loop in m.temporal.loops]
+            sizes[i, : lengths[i]] = [loop.size for loop in m.temporal.loops]
+        self.pad = np.arange(L) >= np.array(lengths)[:, None]
 
         # Prefix products of all loops and of each dimension separately.
         self.prefix_all = np.ones((n, L + 1), dtype=np.int64)

@@ -1,21 +1,12 @@
 """Array lowering of loop orders: per-dimension prefix products and footprints.
 
-Everything the model reads from a loop order is a product of loop sizes
-over a prefix of that order. Lowering a set of orders (one row each,
-innermost loop first) to an ``(n, L+1, 7)`` table of per-dimension prefix
-products turns every tile extent — and with it every ``Mem_DATA``
-footprint — into one gather and a few element-wise products.
-
-Two consumers share this module, so the footprint formula exists once in
-array form:
-
-* :class:`repro.core.batch.BatchEvaluator` gathers the extents at each
-  mapping's cut positions;
-* :class:`repro.dse.mapper.TemporalMapper` evaluates the footprint of
-  *every* prefix of a chunk of candidate orders to choose all capacity
-  cuts at once.
-
-:func:`repro.mapping.footprint.tile_elements` stays the scalar reference.
+Every tile extent the model reads is a product of loop sizes over a prefix
+of the loop order, so lowering orders to per-dimension prefix products
+turns every ``Mem_DATA`` footprint into a gather and a few products. The
+batch evaluator gathers them at each mapping's cuts; the mapper evaluates
+every prefix of a chunk of candidate orders to choose all capacity cuts at
+once. :func:`repro.mapping.footprint.tile_elements` is the scalar
+reference of :func:`tile_elements_array`.
 """
 
 from __future__ import annotations
@@ -32,12 +23,10 @@ _DIM_COLUMNS = np.arange(len(ALL_DIMS))
 
 
 def prefix_dim_products(dims: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-dimension loop-size products over every prefix of every order.
+    """``[i, j, d]``: product of dim-``d`` sizes among the first ``j`` loops of order ``i``.
 
-    ``dims`` holds :data:`DIM_INDEX` columns and ``sizes`` loop sizes, both
-    ``(n, L)``; size-1 padding is neutral. Entry ``[i, j, d]`` of the
-    ``(n, L+1, 7)`` result is the product of the sizes of dimension ``d``
-    among the first ``j`` loops of order ``i``.
+    ``dims`` (:data:`DIM_INDEX` columns) and ``sizes`` are ``(n, L)``;
+    size-1 padding is neutral. The result is ``(n, L+1, 7)``.
     """
     n, length = dims.shape
     factors = np.where(dims[:, :, None] == _DIM_COLUMNS, sizes[:, :, None], 1)
@@ -46,25 +35,18 @@ def prefix_dim_products(dims: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return products
 
 
-def clamped_extents(
-    layer: LayerSpec, products: np.ndarray, spatial: np.ndarray
-) -> np.ndarray:
-    """Temporal x spatial extents of every dimension, clamped to the layer.
+def clamped_extents(layer: LayerSpec, products, spatial) -> np.ndarray:
+    """Temporal x spatial extents per dim, clamped to the layer bounds.
 
-    ``spatial`` holds the unroll factor of each dimension (broadcast
-    against ``products``); ceil-induced padding never stores real data,
-    hence the clamp.
+    ``spatial`` (unroll factor per dim) broadcasts against ``products``;
+    ceil-induced padding never stores real data, hence the clamp.
     """
     bounds = np.array([layer.size(dim) for dim in ALL_DIMS], dtype=np.int64)
     return np.minimum(products * spatial, bounds)
 
 
 def tile_elements_array(layer: LayerSpec, operand: Operand, ext: np.ndarray) -> np.ndarray:
-    """Array form of :func:`repro.mapping.footprint.tile_elements`.
-
-    ``ext`` is any ``(..., 7)`` array of clamped extents; the result has
-    its leading shape.
-    """
+    """:func:`~repro.mapping.footprint.tile_elements` over ``(..., 7)`` extents."""
     depthwise = layer.layer_type is LayerType.DEPTHWISE
 
     def col(dim: LoopDim) -> np.ndarray:

@@ -86,14 +86,6 @@ class PeriodicWindow:
             yield (base + self.start, base + self.start + self.active)
 
 
-def _merged_length(intervals: List[Tuple[float, float]]) -> float:
-    """Total length of the union of (begin, end) intervals."""
-    if not intervals:
-        return 0.0
-    arr = np.asarray(intervals, dtype=np.float64)
-    return kernels.merged_interval_length(arr[:, 0], arr[:, 1])
-
-
 def union_length(windows: Sequence[PeriodicWindow], horizon: float) -> float:
     """Length of the union of ``windows`` clipped to ``[0, horizon)``.
 

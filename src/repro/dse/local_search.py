@@ -106,33 +106,8 @@ class LocalSearchMapper:
                 if funnel is not None:
                     funnel.discard("mapping-error")
                 mappings.append(None)
-        feasible = [m for m in mappings if m is not None]
-        outcomes = iter(
-            self.mapper.engine.evaluate_many(
-                feasible, validate=False, with_energy=self.mapper._wants_energy
-            )
-            if feasible
-            else ()
-        )
-        results: List[Optional[MappingSearchResult]] = []
-        for mapping in mappings:
-            if mapping is None:
-                results.append(None)
-                continue
-            outcome = next(outcomes)
-            if outcome is None:
-                if funnel is not None:
-                    funnel.discard("engine-infeasible")
-                results.append(None)
-                continue
-            results.append(MappingSearchResult(
-                outcome.mapping,
-                outcome.report,
-                outcome.energy,
-                self.mapper._objective(outcome.report, outcome.energy),
-                cache_hit=outcome.cache_hit,
-            ))
-        return results
+        scored = iter(self.mapper.score([m for m in mappings if m is not None], funnel))
+        return [None if m is None else next(scored) for m in mappings]
 
     @staticmethod
     def _neighbors(order: Order, rng: random.Random, random_swaps: int) -> Iterator[Order]:

@@ -47,9 +47,7 @@ from repro.dse.factorize import (
 from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
-# ``tile_elements`` (the scalar footprint reference) is no longer called
-# here but stays importable by this name: perfbench/spans.py counts calls
-# through every namespace that ever imported it.
+# tile_elements is unused here but stays importable: perfbench/spans.py wraps it by this name.
 from repro.mapping.footprint import spatial_replication, tile_elements  # noqa: F401
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping, MappingError
@@ -240,21 +238,12 @@ class TemporalMapper:
     ) -> List[TemporalMapping]:
         """Greedy allocation of equal-length loop orders, all cuts at once.
 
-        The greedy rule walks each order inner to outer and pushes every
-        loop into the lowest level whose mapper-visible capacity still
-        holds the grown tile. Footprints never shrink as a prefix grows
-        (every extent is a clamped prefix product), so a level that
-        overflows at prefix length ``j`` overflows at every longer prefix,
-        and the walk has a closed form: with ``first_l`` the shortest
-        overflowing prefix at level ``l`` (``L + 1`` when none does),
-
-            ``cut_l = max(cut_{l-1}, first_l - 1)``,  ``cut_{-1} = 0``,
-
-        where ``first_l - 1 = L - (number of overflowing prefixes)``.
-
-        The footprints of every prefix of every order come from one
-        lowering (:mod:`repro.core.lowering`), the same formula the batch
-        evaluator gathers at the cuts.
+        Footprints never shrink as a prefix grows, so the greedy walk
+        (push each loop into the lowest level that still holds the grown
+        tile) has the closed form ``cut_l = max(cut_{l-1}, first_l - 1)``
+        with ``first_l`` the shortest prefix overflowing level ``l``
+        (docs/MODEL.md). Every prefix footprint of every order comes from
+        one lowering (:mod:`repro.core.lowering`).
         """
         atoms: Dict[Tuple[LoopDim, int], int] = {}
         rows = [[atoms.setdefault(atom, len(atoms)) for atom in order] for order in orders]
@@ -316,23 +305,17 @@ class TemporalMapper:
         seen = set()
         canonical_seen = set()
         orders = self.orders(layer)
-        while True:
-            # Orders are allocated a chunk at a time; everything after
-            # allocation (funnel, dedup, yield order) stays per order.
-            chunk = list(itertools.islice(orders, self.config.batch_size))
-            if not chunk:
-                return
-            for temporal in self.allocate_many(layer, chunk):
+        # Orders are allocated a chunk at a time; everything after
+        # allocation (funnel, dedup, yield order) stays per order.
+        while chunk := list(itertools.islice(orders, self.config.batch_size)):
+            for order, temporal in zip(chunk, self.allocate_many(layer, chunk)):
                 if funnel is not None:
                     funnel.admit()
-                key = (temporal.loops, tuple(sorted(
-                    (op.value, temporal.cuts[op]) for op in Operand
-                )))
-                if key in seen:
+                if order in seen:  # the allocation is a function of the order
                     if funnel is not None:
                         funnel.discard("duplicate")
                     continue
-                seen.add(key)
+                seen.add(order)
                 canonical = self._canonical_key(temporal)
                 if canonical in canonical_seen:
                     self.engine.stats.dedup_skipped += 1
@@ -401,40 +384,39 @@ class TemporalMapper:
             mapping, report, energy, self._objective(report, energy)
         )
 
-    def _evaluated(self, layer: LayerSpec) -> Iterator[MappingSearchResult]:
-        """Stream scored mappings, batch-evaluating through the engine.
+    def score(self, mappings: List[Mapping], funnel=None) -> List[Optional[MappingSearchResult]]:
+        """Score ``mappings`` in one engine batch, in order.
 
-        Infeasible mappings (``None`` outcomes from the engine) are
-        skipped, matching the old per-mapping try/except behavior.
+        An infeasible mapping (``None`` outcome from the engine) scores
+        ``None`` and is discarded as ``engine-infeasible`` on ``funnel``.
         """
+        if not mappings:
+            return []
+        results: List[Optional[MappingSearchResult]] = []
+        for outcome in self.engine.evaluate_many(
+            mappings, validate=False, with_energy=self._wants_energy
+        ):
+            if outcome is None:
+                if funnel is not None:
+                    funnel.discard("engine-infeasible")
+                results.append(None)
+                continue
+            results.append(MappingSearchResult(
+                outcome.mapping,
+                outcome.report,
+                outcome.energy,
+                self._objective(outcome.report, outcome.energy),
+                cache_hit=outcome.cache_hit,
+            ))
+        return results
+
+    def _evaluated(self, layer: LayerSpec) -> Iterator[MappingSearchResult]:
+        """Stream the feasible scored mappings, one engine batch at a time."""
         campaign = current_campaign()
         funnel = campaign.phase("mapper") if campaign.enabled else None
-        batch: List[Mapping] = []
-
-        def flush() -> Iterator[MappingSearchResult]:
-            outcomes = self.engine.evaluate_many(
-                batch, validate=False, with_energy=self._wants_energy
-            )
-            batch.clear()
-            for outcome in outcomes:
-                if outcome is None:
-                    if funnel is not None:
-                        funnel.discard("engine-infeasible")
-                    continue
-                yield MappingSearchResult(
-                    outcome.mapping,
-                    outcome.report,
-                    outcome.energy,
-                    self._objective(outcome.report, outcome.energy),
-                    cache_hit=outcome.cache_hit,
-                )
-
-        for mapping in self.mappings(layer):
-            batch.append(mapping)
-            if len(batch) >= self.config.batch_size:
-                yield from flush()
-        if batch:
-            yield from flush()
+        mappings = self.mappings(layer)
+        while batch := list(itertools.islice(mappings, self.config.batch_size)):
+            yield from (r for r in self.score(batch, funnel) if r is not None)
 
     def _search_key(self, kind: str, layer: LayerSpec):
         """Engine-cache key for a whole search outcome on ``layer``.
@@ -505,39 +487,68 @@ class TemporalMapper:
             layer=layer.name or str(layer.layer_type),
         )
 
-    def search(self, layer: LayerSpec) -> List[MappingSearchResult]:
-        """Evaluate the mapping space; return the top results, best first."""
+    def _memoized(self, kind: str, layer: LayerSpec, compute, best_of):
+        """Run one search flow under its span, engine memo and progress run.
+
+        ``compute(run, campaign)`` scores the space and returns
+        ``(outcome, candidates, best)``. The outcome is memoized under
+        :meth:`_search_key`; a memo hit replays ``best_of(outcome)`` into
+        the campaign instead of searching again.
+        """
         tracer = current_tracer()
-        metrics = current_metrics()
         with tracer.span(
-            "mapper.search",
+            f"mapper.{kind}",
             layer=layer.name or str(layer.layer_type),
             objective=self.config.objective,
         ) as span:
-            metrics.counter(
+            current_metrics().counter(
                 "repro_mapper_searches_total", "Mapper search() calls."
             ).inc()
             campaign = current_campaign()
             if campaign.enabled:
                 self._note_campaign_context(campaign)
-            key = self._search_key("search", layer)
-            if self.engine.use_cache:
-                cached = self.engine.cache.get(key)
-                if cached is not None:
-                    self.engine.stats.cache_hits += 1
-                    span.set("cache_hit", True)
-                    campaign.note_memoized_search()
-                    if campaign.enabled and cached:
-                        campaign.observe(cached[0].objective)
-                    return list(cached)
-            run = self._progress_run("mapper.search", layer)
+            key = self._search_key(kind, layer)
+            cached = self.engine.cache.get(key) if self.engine.use_cache else None
+            if cached is not None:
+                self.engine.stats.cache_hits += 1
+                span.set("cache_hit", True)
+                campaign.note_memoized_search()
+                best = best_of(cached)
+                if campaign.enabled and best is not None:
+                    campaign.observe(best.objective)
+                return cached
+            run = self._progress_run(f"mapper.{kind}", layer)
             try:
-                results = list(self._evaluated(layer))
+                outcome, candidates, best = compute(run, campaign)
             except KeyboardInterrupt:
                 if run is not None:
                     run.interrupt("KeyboardInterrupt")
                 raise
-            metrics.counter(
+            if tracer.enabled:
+                span.set("cache_hit", False)
+                span.set("candidates", candidates)
+                if best is not None:
+                    span.set("best_objective", best.objective)
+            if self.engine.use_cache:
+                self.engine.cache.put(key, outcome)
+            return outcome
+
+    @staticmethod
+    def _report_best(run, best: MappingSearchResult, layer: LayerSpec) -> None:
+        if run is not None:
+            run.best(
+                best.objective,
+                total_cycles=best.report.total_cycles,
+                utilization=best.report.utilization,
+                label=layer.name or str(layer.layer_type),
+            )
+
+    def search(self, layer: LayerSpec) -> List[MappingSearchResult]:
+        """Evaluate the mapping space; return the top results, best first."""
+
+        def compute(run, campaign):
+            results = list(self._evaluated(layer))
+            current_metrics().counter(
                 "repro_mapper_candidates_total",
                 "Feasible mapping candidates scored by the mapper.",
             ).inc(len(results))
@@ -552,24 +563,16 @@ class TemporalMapper:
                 for result in results:
                     funnel.retain(cache_hit=result.cache_hit)
                 funnel.discard("keep-top", scored - len(results))
+            best = results[0] if results else None
+            if best is not None:
+                self._report_best(run, best, layer)
             if run is not None:
-                if results:
-                    best = results[0]
-                    run.best(
-                        best.objective,
-                        total_cycles=best.report.total_cycles,
-                        utilization=best.report.utilization,
-                        label=layer.name or str(layer.layer_type),
-                    )
                 run.finish()
-            if tracer.enabled:
-                span.set("cache_hit", False)
-                span.set("candidates", len(results))
-                if results:
-                    span.set("best_objective", results[0].objective)
-            if self.engine.use_cache:
-                self.engine.cache.put(key, tuple(results))
-            return results
+            return tuple(results), len(results), best
+
+        return list(self._memoized(
+            "search", layer, compute, lambda cached: cached[0] if cached else None
+        ))
 
     def best_mapping_verified(
         self, layer: LayerSpec, shortlist: int = 5
@@ -602,53 +605,20 @@ class TemporalMapper:
 
     def best_mapping(self, layer: LayerSpec) -> MappingSearchResult:
         """The best mapping found (raises if none fits)."""
-        tracer = current_tracer()
-        metrics = current_metrics()
-        with tracer.span(
-            "mapper.best_mapping",
-            layer=layer.name or str(layer.layer_type),
-            objective=self.config.objective,
-        ) as span:
-            metrics.counter(
-                "repro_mapper_searches_total", "Mapper search() calls."
-            ).inc()
-            campaign = current_campaign()
-            if campaign.enabled:
-                self._note_campaign_context(campaign)
-            key = self._search_key("best_mapping", layer)
-            if self.engine.use_cache:
-                cached = self.engine.cache.get(key)
-                if cached is not None:
-                    self.engine.stats.cache_hits += 1
-                    span.set("cache_hit", True)
-                    campaign.note_memoized_search()
-                    if campaign.enabled:
-                        campaign.observe(cached.objective)
-                    return cached
-            run = self._progress_run("mapper.best_mapping", layer)
+
+        def compute(run, campaign):
             best: Optional[MappingSearchResult] = None
             candidates = 0
-            try:
-                for result in self._evaluated(layer):
-                    candidates += 1
-                    if campaign.enabled:
-                        campaign.observe(result.objective)
-                    if best is None or result.objective < best.objective:
-                        best = result
-                        if run is not None:
-                            run.best(
-                                best.objective,
-                                total_cycles=best.report.total_cycles,
-                                utilization=best.report.utilization,
-                                label=layer.name or str(layer.layer_type),
-                            )
-            except KeyboardInterrupt:
-                if run is not None:
-                    run.interrupt("KeyboardInterrupt")
-                raise
+            for result in self._evaluated(layer):
+                candidates += 1
+                if campaign.enabled:
+                    campaign.observe(result.objective)
+                if best is None or result.objective < best.objective:
+                    best = result
+                    self._report_best(run, best, layer)
             if run is not None:
                 run.finish()
-            metrics.counter(
+            current_metrics().counter(
                 "repro_mapper_candidates_total",
                 "Feasible mapping candidates scored by the mapper.",
             ).inc(candidates)
@@ -661,10 +631,6 @@ class TemporalMapper:
                 funnel = campaign.phase("mapper")
                 funnel.retain(cache_hit=best.cache_hit)
                 funnel.discard("beaten-incumbent", candidates - 1)
-            if tracer.enabled:
-                span.set("cache_hit", False)
-                span.set("candidates", candidates)
-                span.set("best_objective", best.objective)
-            if self.engine.use_cache:
-                self.engine.cache.put(key, best)
-            return best
+            return best, candidates, best
+
+        return self._memoized("best_mapping", layer, compute, lambda cached: cached)

@@ -76,29 +76,23 @@ def memoized_fingerprint(obj: Any) -> str:
     Objects that reject attribute assignment (slots, builtins) are
     fingerprinted without memoization.
     """
-    cached = getattr(obj, "_fingerprint", None)
-    if cached is None:
-        cached = stable_fingerprint(obj)
-        try:
-            object.__setattr__(obj, "_fingerprint", cached)
-        except (AttributeError, TypeError):
-            pass
-    return cached
+    return memoized(obj, "_fingerprint", stable_fingerprint)
 
 
 def memoized_json(obj: Any) -> str:
-    """``canonical_json(canonical_payload(obj))``, cached on the object.
+    """``canonical_json(canonical_payload(obj))``, cached like
+    :func:`memoized_fingerprint`: direct encoders splice these fragments
+    instead of re-walking objects that recur (e.g. a mapper's loops)."""
+    return memoized(obj, "_canonical_json", lambda o: canonical_json(canonical_payload(o)))
 
-    Same safety rule as :func:`memoized_fingerprint`: immutable objects
-    only. Direct encoders splice these fragments into a larger canonical
-    JSON text instead of re-walking objects that recur (e.g. the loops a
-    mapper shares across every candidate order).
-    """
-    cached = getattr(obj, "_canonical_json", None)
+
+def memoized(obj: Any, attr: str, compute) -> str:
+    """``compute(obj)``, cached on ``obj`` as ``attr`` when it allows."""
+    cached = getattr(obj, attr, None)
     if cached is None:
-        cached = canonical_json(canonical_payload(obj))
+        cached = compute(obj)
         try:
-            object.__setattr__(obj, "_canonical_json", cached)
+            object.__setattr__(obj, attr, cached)
         except (AttributeError, TypeError):
             pass
     return cached

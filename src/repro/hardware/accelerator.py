@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
+from repro.fingerprint import memoized_fingerprint
 from repro.hardware.area import accelerator_area_mm2
 from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel
 from repro.hardware.mac_array import MacArray
@@ -143,10 +144,4 @@ class Accelerator:
         evaluation engine keys its cache on this, so one cache can serve a
         whole architecture sweep. Memoized (the dataclass is frozen).
         """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            from repro.fingerprint import stable_fingerprint
-
-            cached = stable_fingerprint(self)
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
+        return memoized_fingerprint(self)

@@ -6,6 +6,7 @@ import dataclasses
 import math
 from typing import TYPE_CHECKING, Dict, List
 
+from repro.fingerprint import digest, memoized, memoized_fingerprint
 from repro.mapping.footprint import (
     operand_footprint_bits,
     outputs_are_partial_above,
@@ -100,24 +101,16 @@ class Mapping:
         built; the evaluation engine combines this with the accelerator's
         fingerprint as its cache key. Memoized (the dataclass is frozen).
         """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            from repro.fingerprint import digest, memoized_fingerprint
-
-            # Composed hierarchically: the layer and spatial unrolling
-            # recur (as the same objects) across every mapping of one
-            # search, so their fingerprints are computed once and only
-            # the temporal part is encoded per mapping. The text is the
-            # canonical JSON of [layer_fp, spatial_fp, temporal] (hex
-            # digests need no escaping), so the value equals
-            # stable_fingerprint(layer_fp, spatial_fp, self.temporal).
-            cached = digest('["%s","%s",%s]' % (
-                memoized_fingerprint(self.layer),
-                memoized_fingerprint(self.spatial),
-                self.temporal.canonical_json(),
-            ))
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
+        # Composed hierarchically: the layer and spatial unrolling recur (as
+        # the same objects) across every mapping of one search, so their
+        # fingerprints are computed once and only the temporal part is
+        # encoded per mapping. The text equals the one
+        # stable_fingerprint(layer_fp, spatial_fp, self.temporal) hashes.
+        return memoized(self, "_fingerprint", lambda m: digest('["%s","%s",%s]' % (
+            memoized_fingerprint(m.layer),
+            memoized_fingerprint(m.spatial),
+            m.temporal.canonical_json(),
+        )))
 
 
 def check_capacity(mapping: Mapping, accelerator: "Accelerator") -> List[str]:

@@ -18,11 +18,8 @@ from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
 
 
-#: The canonical JSON of every operand, in the order the generic canonical
-#: walk sorts the keys of the ``cuts`` dict.
-_CUT_KEYS = sorted(
-    (canonical_json(canonical_payload(op)), op) for op in Operand
-)
+#: Operand JSON keys of ``cuts``, sorted as the generic canonical walk sorts them.
+_CUT_KEYS = sorted((canonical_json(canonical_payload(op)), op) for op in Operand)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,13 +95,9 @@ class TemporalMapping:
         return TemporalMapping(tuple(reference), cuts)
 
     def canonical_json(self) -> str:
-        """``canonical_json(canonical_payload(self))``, encoded directly.
-
-        The generic walk recurses through every :class:`Loop` dataclass and
-        enum of the mapping; this splices memoized per-loop fragments and
-        the cut lists (in the walk's sorted operand order) into the
-        identical text, so mapping fingerprints keep their values.
-        """
+        """``canonical_json(canonical_payload(self))`` without the generic walk:
+        memoized per-loop fragments and the cut lists, spliced into the
+        identical text (mapping fingerprints keep their values)."""
         loops = ",".join([memoized_json(loop) for loop in self.loops])
         cuts = ",".join([
             "[%s,[%s]]" % (key, ",".join(map(str, self.cuts[op])))

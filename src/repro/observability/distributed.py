@@ -79,12 +79,6 @@ class TraceContext:
     span_id: int
     sampled: bool = True
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "sampled": self.sampled,
-        }
 
 
 def inject_trace() -> Optional[Dict[str, Any]]:
