@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dse.mapper import MapperConfig, TemporalMapper
+from repro.engine import EvaluationEngine
 from repro.fingerprint import (
     canonical_json,
     canonical_payload,
@@ -28,6 +29,7 @@ from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
 from repro.mapping.spatial import SpatialMapping
 from repro.mapping.temporal import TemporalMapping
+from repro.serve.store import ResultStore
 from repro.verify.generators import sample_cases
 from repro.workload.dims import LoopDim as D
 from repro.workload.generator import dense_layer
@@ -129,6 +131,27 @@ def test_case_study_accelerator_matches_baseline_ledger():
     assert rows
     for row in rows:
         assert row["accelerator_fp"] == case_study_accelerator().accelerator.fingerprint()
+
+
+def test_serve_store_warm_starts_from_baseline_ledger():
+    # The baseline row's mapping, rebuilt: a daemon warm-started from the
+    # committed ledger must answer it without evaluating.
+    mapping = _mapping(
+        dense_layer(64, 128, 1200), CASE_SPATIAL,
+        [("C", 5), ("B", 2), ("C", 2), ("K", 2), ("C", 3), ("K", 2),
+         ("C", 5), ("C", 2), ("B", 2), ("B", 2), ("C", 2), ("K", 2)],
+        (0, 6), (0, 6), (1,),
+    )
+    engine = EvaluationEngine.from_preset(case_study_accelerator())
+    store = ResultStore()
+    assert store.warm_start([str(BASELINE)]) == 1
+    hit = store.get(
+        (engine.accelerator_fingerprint, engine.options_fingerprint, mapping.fingerprint())
+    )
+    assert hit is not None
+    report, warm = hit
+    assert warm
+    assert report.total_cycles == engine.evaluate(mapping).total_cycles
 
 
 @settings(max_examples=60, deadline=None)
