@@ -343,22 +343,17 @@ class TemporalMapper:
         ``K2 K3 | ...`` and ``K3 K2 | ...`` (same cuts) are one design
         point, not two.
         """
-        loops = temporal.loops
-        boundaries = {cut for cuts in temporal.cuts.values() for cut in cuts}
+        cuts = tuple(temporal.cuts.values())  # always in Operand order
+        boundaries = set().union(*cuts)
         canon: List[Tuple[LoopDim, int]] = []
-        i, n = 0, len(loops)
-        while i < n:
-            j = i + 1
-            while j < n and loops[j].dim is loops[i].dim and j not in boundaries:
-                j += 1
-            canon.extend(
-                (loops[i].dim, size)
-                for size in sorted(loop.size for loop in loops[i:j])
-            )
-            i = j
-        return (tuple(canon), tuple(sorted(
-            (op.value, temporal.cuts[op]) for op in Operand
-        )))
+        dim, sizes = None, []
+        for j, loop in enumerate(temporal.loops):
+            if loop.dim is not dim or j in boundaries:  # a new run starts
+                canon.extend([(dim, size) for size in sorted(sizes)])
+                dim, sizes = loop.dim, []
+            sizes.append(loop.size)
+        canon.extend([(dim, size) for size in sorted(sizes)])
+        return tuple(canon), cuts
 
     @property
     def _wants_energy(self) -> bool:
