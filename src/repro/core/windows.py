@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 

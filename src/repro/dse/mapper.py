@@ -261,6 +261,7 @@ class TemporalMapper:
         for operand in Operand:
             # Conservative: in-flight outputs are counted at accumulator width.
             precision = layer.precision.of(operand, partial=operand is Operand.O)
+            # Prefixes of length 1..L: the walk never tests the empty one.
             bits = tile_elements_array(layer, operand, ext[:, 1:]) * precision
             cut = np.zeros(len(rows), dtype=np.int64)
             columns = []

@@ -80,7 +80,6 @@ class TraceContext:
     sampled: bool = True
 
 
-
 def inject_trace() -> Optional[Dict[str, Any]]:
     """Capture the ambient tracer's context for the wire, or ``None``.
 
