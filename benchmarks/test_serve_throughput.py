@@ -3,8 +3,9 @@
 Three claims from the PR 7 service design are measured against a live
 daemon on an ephemeral port:
 
-1. **Throughput**: the wire adds overhead, but a pipelined
-   ``evaluate_many`` burst amortizes it — per-evaluation cost over the
+1. **Throughput**: the wire adds overhead, but ``evaluate_many`` sends
+   each layer's misses as one ``evaluate_batch`` frame that the daemon
+   answers with one batch-core call — per-evaluation cost over the
    socket stays within an order of magnitude of in-process.
 2. **Coalescing**: N clients asking for the same fingerprint while it is
    in flight cost one kernel run, not N.
@@ -89,7 +90,7 @@ def test_serve_throughput_coalescing_and_warm_start(tmp_path, capsys):
 
     ledger_path = str(tmp_path / "serve_bench.sqlite")
 
-    # ---- cold remote pass: pipelined bursts per accelerator ----
+    # ---- cold remote pass: one evaluate_many per accelerator ----
     with _ServerThread(ledger=RunLedger(ledger_path)) as handle:
         client = connect(handle.server.url, use_cache=False)
         t0 = time.perf_counter()

@@ -15,6 +15,7 @@ Two granularities live here:
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional
 
@@ -61,6 +62,9 @@ class EvaluationCache:
         self._data.clear()
 
 
+_MISSING = object()
+
+
 class PartialResultCache:
     """Memo for sub-evaluation intermediates (MUW unions, ...) with counters.
 
@@ -70,6 +74,11 @@ class PartialResultCache:
     evaluator uses ``("muw", window_params, horizon)``). ``hits`` and
     ``misses`` feed :class:`~repro.observability.stats.EngineStats` and
     the ``CacheStats`` progress event.
+
+    Thread-safe: the serve daemon's shard threads share one instance.
+    Lookups, counters and inserts happen under a lock; ``compute`` runs
+    outside it, so two threads missing one key may both compute it
+    (the values are equal, the later insert wins).
     """
 
     def __init__(self, maxsize: int = 262144) -> None:
@@ -79,20 +88,23 @@ class PartialResultCache:
         self.hits = 0
         self.misses = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The cached value for ``key``, computing and inserting on miss."""
-        try:
-            self._data.move_to_end(key)
-        except KeyError:
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is not _MISSING:
+                self._data.move_to_end(key)
+                self.hits += 1
+                return value
             self.misses += 1
-            value = compute()
+        value = compute()
+        with self._lock:
             self._data[key] = value
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
-            return value
-        self.hits += 1
-        return self._data[key]
+        return value
 
     def __len__(self) -> int:
         return len(self._data)

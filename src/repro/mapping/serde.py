@@ -18,7 +18,8 @@ a layer reference. Round trips preserve ``mapping.fingerprint()``.
 
 from __future__ import annotations
 
-from typing import Dict
+import functools
+from typing import Dict, Tuple
 
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
@@ -41,13 +42,29 @@ def mapping_to_dict(mapping: Mapping) -> Dict:
 
 
 def mapping_from_dict(data: Dict, layer: LayerSpec) -> Mapping:
-    """Inverse of :func:`mapping_to_dict`, bound to ``layer``."""
+    """Inverse of :func:`mapping_to_dict`, bound to ``layer``.
+
+    Decoded mappings share their :class:`Loop` and :class:`SpatialMapping`
+    objects by value. Both are immutable, and a shared object memoizes its
+    fingerprint fragment once instead of once per decoded mapping (the
+    serve daemon fingerprints every mapping it receives).
+    """
     temporal = TemporalMapping(
-        loops=tuple(Loop(LoopDim(d), int(s)) for d, s in data["loops"]),
+        loops=tuple(_loop(d, int(s)) for d, s in data["loops"]),
         cuts={Operand(op): tuple(cut) for op, cut in data["cuts"].items()},
     )
-    spatial = SpatialMapping({LoopDim(d): int(f) for d, f in data["spatial"].items()})
+    spatial = _spatial(tuple((d, int(f)) for d, f in data["spatial"].items()))
     return Mapping(layer, spatial, temporal)
+
+
+@functools.lru_cache(maxsize=4096)
+def _loop(dim: str, size: int) -> Loop:
+    return Loop(LoopDim(dim), size)
+
+
+@functools.lru_cache(maxsize=1024)
+def _spatial(unrolling: Tuple[Tuple[str, int], ...]) -> SpatialMapping:
+    return SpatialMapping({LoopDim(d): f for d, f in unrolling})
 
 
 __all__ = ["mapping_from_dict", "mapping_to_dict"]

@@ -27,6 +27,7 @@ from repro.fingerprint import (
 from repro.hardware.presets import case_study_accelerator
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
+from repro.mapping.serde import mapping_from_dict, mapping_to_dict
 from repro.mapping.spatial import SpatialMapping
 from repro.mapping.temporal import TemporalMapping
 from repro.serve.store import ResultStore
@@ -110,6 +111,21 @@ GOLDEN = [
 )
 def test_mapping_fingerprint_is_pinned(build, digest):
     assert build().fingerprint() == digest
+
+
+@pytest.mark.parametrize(
+    "build, digest", GOLDEN, ids=[build.__name__.lstrip("_") for build, _ in GOLDEN]
+)
+def test_decoded_mapping_fingerprint_is_pinned(build, digest):
+    """The serve daemon fingerprints mappings decoded from the wire, whose
+    loop and spatial objects are shared by value across decodes."""
+    mapping = build()
+    payload = json.loads(json.dumps(mapping_to_dict(mapping)))
+    first = mapping_from_dict(payload, mapping.layer)
+    second = mapping_from_dict(payload, mapping.layer)
+    assert first.fingerprint() == second.fingerprint() == digest
+    assert first.spatial is second.spatial
+    assert all(a is b for a, b in zip(first.temporal.loops, second.temporal.loops))
 
 
 def test_search_result_fingerprint_is_pinned():
