@@ -181,15 +181,19 @@ def lower_program(accelerator: Accelerator, mapping: Mapping) -> MachineProgram:
     # retire instant is start + max(leg durations), so a faster leg
     # finishing mid-cycle is unobservable unless its port is contended
     # (which the dynamic half of the certificate rules out separately).
+    # Steps of a plan share a few leg tuples and gates/thresholds repeat,
+    # so each distinct value is checked once.
     integral = all(
-        _is_integral(step.gate)
-        and _is_integral(step.threshold)
-        and all(bandwidth[key] > 0 for key, __ in step.legs)
-        and _is_integral(
-            max((bits / bandwidth[key] for key, bits in step.legs), default=0.0)
+        all(map(_is_integral, {step.gate for step in plan.steps}))
+        and all(map(_is_integral, {step.threshold for step in plan.steps}))
+        and all(
+            all(bandwidth[key] > 0 for key, __ in legs)
+            and _is_integral(
+                max((bits / bandwidth[key] for key, bits in legs), default=0.0)
+            )
+            for legs in {step.legs for step in plan.steps}
         )
         for plan in plans
-        for step in plan.steps
     )
     return MachineProgram(
         plans=tuple(plans),
@@ -293,6 +297,14 @@ def _output_plans(accelerator: Accelerator, mapping: Mapping) -> List[EnginePlan
         down = _port_of(outer, operand, EndpointKind.TL)    # read-back source
         down_sink = _port_of(inner, operand, EndpointKind.FH)
 
+        # Two flush sizes (partial, final) and one read-back size: the
+        # padded legs are built once per boundary.
+        flush_legs = {
+            bits: ((up, _burst(bits, inner)), (up_sink, _burst(bits, outer)))
+            for bits in (partial, final)
+        }
+        rb_legs = ((down, _burst(partial, outer)), (down_sink, _burst(partial, inner)))
+
         flush_name = f"{operand}/flush/L{lvl}"
         rb_name = f"{operand}/readback/L{lvl}"
         flush_steps: List[TransferStep] = []
@@ -307,10 +319,7 @@ def _output_plans(accelerator: Accelerator, mapping: Mapping) -> List[EnginePlan
                     gate=float((k + 1) * period),
                     threshold=(k + 1) * period + window,
                     bits=bits,
-                    legs=(
-                        (up, _burst(bits, inner)),
-                        (up_sink, _burst(bits, outer)),
-                    ),
+                    legs=flush_legs[bits],
                 )
             )
             if position != 0:
@@ -323,10 +332,7 @@ def _output_plans(accelerator: Accelerator, mapping: Mapping) -> List[EnginePlan
                         gate=k * period - window,
                         threshold=k * period + window,
                         bits=partial,
-                        legs=(
-                            (down, _burst(partial, outer)),
-                            (down_sink, _burst(partial, inner)),
-                        ),
+                        legs=rb_legs,
                         dep=(flush_name, k - 1),
                     )
                 )

@@ -34,19 +34,18 @@ CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 _EPS = 1e-9
 
 
-def _broken_arbitrate(self, requesters, cycles=1.0):
+def _broken_arbitrate(self):
     """Planted bug: serve only the highest-priority requester, and waste
     half the port bandwidth — non-work-conserving on every cycle."""
-    queue = sorted(
-        (e for e in requesters if e.pending(self.key) > _EPS),
-        key=lambda e: e.priority,
-    )
-    if len(queue) >= 2:
-        self.contended_cycles += cycles
+    queue = [
+        (engine, leg) for engine, leg in self.requesters
+        if engine.remaining[leg] > _EPS
+    ]
+    self.contended = len(queue) >= 2
     if not queue:
         return []
-    head = queue[0]
-    return [(head, min(head.pending(self.key), self.bandwidth / 2.0))]
+    head, leg = queue[0]
+    return [(head, leg, min(head.remaining[leg], self.bandwidth / 2.0))]
 
 
 @pytest.fixture
