@@ -1,8 +1,8 @@
 """Preload/offload engines, the MAC issue stage, and whole-backend laws.
 
-Component level: the per-unit-memory engine pair issues independently
-(preload of the next tile overlaps the previous tile's offload) and the
-issue stage attributes stalls to the blocking unit memories. Backend
+Component level: the per-unit-memory engine pair holds independent
+FIFOs (preload of the next tile overlaps the previous tile's offload)
+and the issue stage attributes stalls to the blocking unit memories. Backend
 level: the stride fast path is bit-identical to the plain tick loop, and
 on contention-free integral machines the backend certifies exactness and
 matches the event engine to the cycle.
@@ -60,7 +60,9 @@ def test_preload_and_offload_issue_independently():
     offload = OffloadEngine("O@Reg/L0", [flush])
     assert preload.direction == "preload"
     assert offload.direction == "offload"
-    issued = preload.issue(0, {}) + offload.issue(0, {})
+    issued = [
+        engine.try_issue(0, {}) for unit in (preload, offload) for engine in unit.engines
+    ]
     assert {s.engine for s in issued} == {"o/readback/L0", "o/flush/L0"}
     assert refill.active is not None and flush.active is not None
 
@@ -68,15 +70,16 @@ def test_preload_and_offload_issue_independently():
 def test_preload_engine_respects_gates():
     gated = one_step_engine("w/refill/L0", "refill", RD, gate=4.0)
     preload = PreloadEngine("W@Reg/L0", [gated])
-    assert preload.issue(0, {}) == []
-    assert len(preload.issue(4, {})) == 1
+    assert [engine.try_issue(0, {}) for engine in preload.engines] == [None]
+    assert [engine.try_issue(4, {}) for engine in preload.engines] == [gated.active]
+    assert gated.active is not None
 
 
 def test_engine_pair_accumulates_bits_moved():
     refill = one_step_engine("w/refill/L0", "refill", RD)
     preload = PreloadEngine("W@Reg/L0", [refill])
-    preload.issue(0, {})
-    refill.drain(RD, 16.0)
+    refill.try_issue(0, {})
+    assert refill.drain_leg(0, 16.0)
     refill.maybe_retire()
     assert preload.bits_moved == 16.0
 

@@ -3,9 +3,13 @@
 Store-and-forward semantics in isolation: one step in flight at a time,
 gates and cross-engine dependencies hold steps back, retirement requires
 every leg drained (backpressure on any leg stalls the whole step).
+Legs are addressed by their index into ``plan.ports``: leg 0 is ``RD``,
+leg 1 is ``WR``.
 """
 
-from repro.simulator.rtl import EnginePlan, TransferEngine, TransferStep
+import math
+
+from repro.simulator.rtl import EnginePlan, PortArbiter, TransferEngine, TransferStep
 from repro.workload.operand import Operand
 
 RD = ("GB", "rd")
@@ -34,19 +38,21 @@ def test_fifo_one_step_in_flight():
     assert first is not None and first.seq == 0
     # Second issue attempt while busy: refused (store-and-forward FIFO).
     assert engine.try_issue(0, {}) is None
-    assert engine.frontier is first
+    assert engine.active is first
+    assert engine.threshold == first.threshold
 
 
 def test_backpressure_holds_step_until_every_leg_drains():
     engine = TransferEngine(make_plan([two_leg_step(0, bits=16.0)]))
     engine.try_issue(0, {})
     # Fast read leg drains fully, slow write leg only partially.
-    engine.drain(RD, 16.0)
-    engine.drain(WR, 10.0)
+    assert engine.drain_leg(0, 16.0)
+    assert not engine.drain_leg(1, 10.0)
     assert engine.maybe_retire() is None      # write leg backpressures
-    assert engine.pending(RD) == 0.0
-    assert engine.pending(WR) == 6.0
-    engine.drain(WR, 6.0)
+    assert engine.remaining[0] == 0.0
+    assert engine.remaining[1] == 6.0
+    assert engine.legs_left == 1
+    assert engine.drain_leg(1, 6.0)
     step = engine.maybe_retire()
     assert step is not None and step.seq == 0
     assert engine.bits_moved == 16.0
@@ -56,9 +62,9 @@ def test_backpressure_holds_step_until_every_leg_drains():
 def test_gate_blocks_until_compute_reaches_it():
     engine = TransferEngine(make_plan([two_leg_step(0, gate=4.0)]))
     assert engine.try_issue(3, {}) is None
-    assert engine.next_gate() == 4.0
+    assert engine.gate == 4.0
     assert engine.try_issue(4, {}) is not None
-    assert engine.next_gate() is None         # busy now
+    assert engine.gate == math.inf            # busy now
 
 
 def test_dependency_blocks_until_retired():
@@ -72,10 +78,13 @@ def test_dependency_blocks_until_retired():
 def test_drain_is_clamped_and_ignores_foreign_ports():
     engine = TransferEngine(make_plan([two_leg_step(0, bits=8.0)]))
     engine.try_issue(0, {})
-    engine.drain(("DRAM", "rd"), 100.0)       # not a leg of this step
-    assert engine.pending(RD) == 8.0
-    engine.drain(RD, 100.0)                   # over-grant clamps to zero
-    assert engine.pending(RD) == 0.0
+    # Not a leg of this step: that port's arbiter never addresses it.
+    foreign = PortArbiter(("DRAM", "rd"), 100.0, requesters=[engine])
+    assert foreign.requesters == ()
+    assert foreign.advance(foreign.arbitrate()) is False
+    assert engine.remaining[0] == 8.0
+    engine.drain_leg(0, 100.0)                # over-grant clamps to zero
+    assert engine.remaining[0] == 0.0
 
 
 def test_fifo_order_and_done_tracking():
@@ -83,11 +92,12 @@ def test_fifo_order_and_done_tracking():
     for expect in range(3):
         step = engine.try_issue(0, {})
         assert step is not None and step.seq == expect
-        engine.drain(RD, 32.0)
-        engine.drain(WR, 32.0)
+        engine.drain_leg(0, 32.0)
+        engine.drain_leg(1, 32.0)
         assert engine.maybe_retire().seq == expect
     assert engine.done
-    assert engine.frontier is None
+    assert engine.active is None
+    assert engine.threshold == math.inf       # no frontier left
     assert engine.try_issue(0, {}) is None
     assert engine.bits_moved == 96.0
 
